@@ -257,7 +257,7 @@ pub struct CardHealth {
 }
 
 /// The outcome of serving one workload through the fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterResult {
     /// Fleet size.
     pub cards: usize,
@@ -685,19 +685,12 @@ impl Cluster {
         }
         ClusterResult {
             cards,
-            requests: 0,
             outputs: self.config.collect_outputs.then(Vec::new),
-            failed: BTreeMap::new(),
-            shed: BTreeMap::new(),
-            deadline_missed: BTreeMap::new(),
-            assignment: Vec::new(),
             residency: vec![Vec::new(); cards],
             card_health,
             stats,
-            makespan: SimTime::ZERO,
-            sojourn: TimeAccumulator::new(),
-            flips: Vec::new(),
             trace: self.assemble_trace(timelines, horizon, &[]),
+            ..ClusterResult::default()
         }
     }
 }

@@ -261,7 +261,7 @@ impl Default for EngineConfig {
 }
 
 /// The outcome of serving one workload through the pool.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineResult {
     /// Shards that served the workload.
     pub workers: usize,
@@ -695,30 +695,10 @@ impl Engine {
         if n == 0 {
             return Ok(EngineResult {
                 workers,
-                requests: 0,
-                input_bytes: 0,
                 outputs: self.config.collect_outputs.then(Vec::new),
-                per_request_hit: Vec::new(),
-                latency: TimeAccumulator::new(),
-                total_service_time: SimTime::ZERO,
                 shard_busy: vec![SimTime::ZERO; workers],
-                makespan: SimTime::ZERO,
-                stats: OsStats::default(),
-                batches: 0,
-                coalesced: 0,
-                dispatch: DispatchStats::default(),
-                failed: BTreeMap::new(),
-                faults: FaultStats::default(),
-                recovery_latency: TimeAccumulator::new(),
-                shed: BTreeMap::new(),
-                deadline_missed: BTreeMap::new(),
-                quota_exceeded: BTreeMap::new(),
-                tenants: Vec::new(),
-                overload: OverloadStats::default(),
-                deadline_budget: None,
-                shard_health: Vec::new(),
-                sojourn: TimeAccumulator::new(),
                 trace: (self.config.trace.level != TraceLevel::Off).then(TraceReport::default),
+                ..EngineResult::default()
             });
         }
         let plan = self.config.shard.plan(
@@ -1321,11 +1301,11 @@ impl Engine {
                     let (_, report) = scratch.invoke(algo, input)?;
                     est.insert(algo, report.total());
                 }
-                let mut samples: Vec<SimTime> = requests.iter().map(|r| est[&r.algo_id]).collect();
-                samples.sort();
-                // nearest-rank percentile over the sorted estimates
-                let rank = ((pct / 100.0) * (samples.len() - 1) as f64).round() as usize;
-                let base = samples[rank.min(samples.len() - 1)];
+                let mut samples = TimeAccumulator::new();
+                for r in requests {
+                    samples.push(est[&r.algo_id]);
+                }
+                let base = samples.quantile(pct / 100.0);
                 let ps = (base.as_ps() as f64 * multiplier).round() as u64;
                 Ok(SimTime::from_ps(ps.max(1)))
             }

@@ -1,132 +1,12 @@
 //! Summary statistics for experiment metrics.
 //!
-//! The workload harness records per-request latencies and summarises
-//! them with [`Summary`]; benches print the summaries as table rows.
+//! Every modelled duration (per-request latency, sojourn, per-stage and
+//! per-algorithm time) is recorded in a [`TimeAccumulator`] and
+//! summarised with [`Summary`]; benches print the summaries as table
+//! rows.
 
 use crate::SimTime;
-
-/// An online accumulator over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use aaod_sim::stats::Accumulator;
-///
-/// let mut acc = Accumulator::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.mean(), 2.0);
-/// assert_eq!(acc.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Accumulator {
-    samples: Vec<f64>,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean; 0 for an empty accumulator.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Smallest sample; 0 for an empty accumulator.
-    pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .finite_or_zero()
-    }
-
-    /// Largest sample; 0 for an empty accumulator.
-    pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .finite_or_zero()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by nearest-rank; 0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[rank]
-    }
-
-    /// Appends every sample of `other` — used when combining
-    /// per-shard accumulators into an engine-wide one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Produces an immutable [`Summary`] of the samples.
-    ///
-    /// Sorts the samples once and indexes every order statistic out of
-    /// the single sorted copy, rather than paying a clone + sort per
-    /// quantile.
-    pub fn summary(&self) -> Summary {
-        if self.samples.is_empty() {
-            return Summary::default();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let rank = |q: f64| ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        Summary {
-            count: sorted.len(),
-            mean: self.mean(),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            p50: sorted[rank(0.5)],
-            p95: sorted[rank(0.95)],
-            p99: sorted[rank(0.99)],
-        }
-    }
-}
-
-/// Maps the fold identity of an empty sample set to zero.
-trait FiniteOrZero {
-    fn finite_or_zero(self) -> f64;
-}
-
-impl FiniteOrZero for f64 {
-    fn finite_or_zero(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
-    }
-}
+use std::collections::BTreeMap;
 
 /// A frozen statistical summary of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -147,7 +27,13 @@ pub struct Summary {
     pub p99: f64,
 }
 
-/// Accumulates [`SimTime`] samples, summarising in nanoseconds.
+/// Exact histogram of [`SimTime`] samples, summarised in nanoseconds.
+///
+/// Stores one picoseconds → count entry per distinct duration plus the
+/// exact total. Modelled durations are fixed functions of cycle counts,
+/// so memory follows the number of distinct durations, not the number
+/// of samples, and every quantile is exact. Equality compares the value
+/// distribution; push order does not matter.
 ///
 /// # Examples
 ///
@@ -158,10 +44,12 @@ pub struct Summary {
 /// acc.push(SimTime::from_ns(100));
 /// acc.push(SimTime::from_ns(300));
 /// assert_eq!(acc.summary_ns().mean, 200.0);
+/// assert_eq!(acc.quantile(1.0), SimTime::from_ns(300));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimeAccumulator {
-    inner: Accumulator,
+    counts: BTreeMap<u64, u64>,
+    count: usize,
     total: SimTime,
 }
 
@@ -173,7 +61,8 @@ impl TimeAccumulator {
 
     /// Adds a duration sample.
     pub fn push(&mut self, t: SimTime) {
-        self.inner.push(t.as_ns());
+        *self.counts.entry(t.as_ps()).or_insert(0) += 1;
+        self.count += 1;
         self.total += t;
     }
 
@@ -184,41 +73,97 @@ impl TimeAccumulator {
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.inner.count()
+        self.count
     }
 
-    /// Appends every sample of `other`.
+    /// Adds every sample of `other` — used when combining per-shard
+    /// accumulators into an engine-wide one.
     pub fn merge(&mut self, other: &TimeAccumulator) {
-        self.inner.merge(&other.inner);
+        for (&ps, &n) in &other.counts {
+            *self.counts.entry(ps).or_insert(0) += n;
+        }
+        self.count += other.count;
         self.total += other.total;
     }
 
-    /// Summary with all fields in nanoseconds.
+    /// The `q`-quantile by nearest rank: the sample at sorted index
+    /// `round((n - 1) * q)`; [`SimTime::ZERO`] when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> SimTime {
+        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+        if self.count == 0 {
+            return SimTime::ZERO;
+        }
+        let rank = ((self.count - 1) as f64 * q).round() as u64;
+        let mut seen = 0;
+        let (&ps, _) = self
+            .counts
+            .iter()
+            .find(|(_, &n)| {
+                seen += n;
+                seen > rank
+            })
+            .expect("rank is below the sample count");
+        SimTime::from_ps(ps)
+    }
+
+    /// Summary with all fields in nanoseconds; the mean is the exact
+    /// total over the count.
     pub fn summary_ns(&self) -> Summary {
-        self.inner.summary()
+        if self.count == 0 {
+            return Summary::default();
+        }
+        let ns = |q| self.quantile(q).as_ns();
+        Summary {
+            count: self.count,
+            mean: self.total.as_ns() / self.count as f64,
+            min: ns(0.0),
+            max: ns(1.0),
+            p50: ns(0.5),
+            p95: ns(0.95),
+            p99: ns(0.99),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+
+    fn acc_of(ns: &[u64]) -> TimeAccumulator {
+        let mut acc = TimeAccumulator::new();
+        for &x in ns {
+            acc.push(SimTime::from_ns(x));
+        }
+        acc
+    }
+
+    /// Oracle: nearest rank over a sorted copy of every sample.
+    fn sorted_nearest_rank(samples: &[u64], q: f64) -> u64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    }
 
     #[test]
     fn empty_accumulator_is_zeroed() {
-        let acc = Accumulator::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.min(), 0.0);
-        assert_eq!(acc.max(), 0.0);
-        assert_eq!(acc.quantile(0.5), 0.0);
+        let acc = TimeAccumulator::new();
+        assert_eq!(acc.count(), 0);
+        assert_eq!(acc.total(), SimTime::ZERO);
+        assert_eq!(acc.quantile(0.0), SimTime::ZERO);
+        assert_eq!(acc.quantile(0.5), SimTime::ZERO);
+        assert_eq!(acc.quantile(1.0), SimTime::ZERO);
+        assert_eq!(acc.summary_ns(), Summary::default());
     }
 
     #[test]
     fn summary_fields() {
-        let mut acc = Accumulator::new();
-        for x in 1..=100 {
-            acc.push(x as f64);
-        }
-        let s = acc.summary();
+        let acc = acc_of(&(1..=100).collect::<Vec<_>>());
+        let s = acc.summary_ns();
         assert_eq!(s.count, 100);
         assert_eq!(s.mean, 50.5);
         assert_eq!(s.min, 1.0);
@@ -226,19 +171,31 @@ mod tests {
         assert_eq!(s.p50, 51.0); // nearest-rank: round(99 * 0.5) = 50 -> value 51
         assert_eq!(s.p95, 95.0);
         assert_eq!(s.p99, 99.0);
+        // push order does not matter
+        let acc = acc_of(&[30, 10, 20]);
+        assert_eq!(acc.count(), 3);
+        assert_eq!(acc.total(), SimTime::from_ns(60));
+        assert_eq!(acc.quantile(0.0), SimTime::from_ns(10));
+        assert_eq!(acc.quantile(0.5), SimTime::from_ns(20));
+        assert_eq!(acc.quantile(1.0), SimTime::from_ns(30));
+        assert_eq!(acc.summary_ns().mean, 20.0);
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
+    #[should_panic(expected = "quantile must be in [0, 1]")]
     fn quantile_out_of_range_panics() {
-        Accumulator::new().quantile(1.5);
+        TimeAccumulator::new().quantile(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile must be in [0, 1]")]
+    fn quantile_below_range_panics() {
+        TimeAccumulator::new().quantile(-0.1);
     }
 
     #[test]
     fn time_accumulator_totals() {
-        let mut acc = TimeAccumulator::new();
-        acc.push(SimTime::from_ns(10));
-        acc.push(SimTime::from_ns(30));
+        let acc = acc_of(&[10, 30]);
         assert_eq!(acc.total(), SimTime::from_ns(40));
         assert_eq!(acc.count(), 2);
         assert_eq!(acc.summary_ns().max, 30.0);
@@ -246,30 +203,29 @@ mod tests {
 
     #[test]
     fn merge_appends_samples() {
-        let mut a = TimeAccumulator::new();
-        a.push(SimTime::from_ns(10));
-        let mut b = TimeAccumulator::new();
-        b.push(SimTime::from_ns(30));
-        b.push(SimTime::from_ns(50));
-        a.merge(&b);
+        let mut a = acc_of(&[10]);
+        a.merge(&acc_of(&[30, 50]));
         assert_eq!(a.count(), 3);
         assert_eq!(a.total(), SimTime::from_ns(90));
         assert_eq!(a.summary_ns().max, 50.0);
+        a.merge(&acc_of(&[40]));
+        assert_eq!(a.count(), 4);
+        assert_eq!(a, acc_of(&[10, 30, 40, 50]));
     }
 
     #[test]
     fn quantile_single_sample() {
-        let mut acc = Accumulator::new();
-        acc.push(42.0);
-        assert_eq!(acc.quantile(0.0), 42.0);
-        assert_eq!(acc.quantile(1.0), 42.0);
+        let acc = acc_of(&[42]);
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(acc.quantile(q), SimTime::from_ns(42));
+        }
     }
 
     #[test]
     fn single_sample_summary_is_degenerate() {
-        let mut acc = Accumulator::new();
-        acc.push(7.5);
-        let s = acc.summary();
+        let mut acc = TimeAccumulator::new();
+        acc.push(SimTime::from_ps(7_500));
+        let s = acc.summary_ns();
         assert_eq!(s.count, 1);
         assert_eq!(s.mean, 7.5);
         assert_eq!(s.min, 7.5);
@@ -281,27 +237,24 @@ mod tests {
 
     #[test]
     fn all_equal_samples_collapse_every_quantile() {
-        let mut acc = Accumulator::new();
-        for _ in 0..50 {
-            acc.push(3.0);
-        }
-        let s = acc.summary();
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.min, 3.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.p50, 3.0);
-        assert_eq!(s.p95, 3.0);
-        assert_eq!(s.p99, 3.0);
+        let acc = acc_of(&[3_000; 50]);
+        let s = acc.summary_ns();
+        assert_eq!(s.mean, 3_000.0);
+        assert_eq!(s.min, 3_000.0);
+        assert_eq!(s.max, 3_000.0);
+        assert_eq!(s.p50, 3_000.0);
+        assert_eq!(s.p95, 3_000.0);
+        assert_eq!(s.p99, 3_000.0);
+        assert_eq!(acc.total(), SimTime::from_us(3) * 50);
+        assert_eq!(acc.counts.len(), 1);
     }
 
     #[test]
     fn merging_an_empty_accumulator_is_identity() {
-        let mut a = Accumulator::new();
-        a.push(1.0);
-        a.push(9.0);
-        let before = a.summary();
-        a.merge(&Accumulator::new());
-        assert_eq!(a.summary(), before);
+        let mut a = acc_of(&[1, 9]);
+        let before = a.clone();
+        a.merge(&TimeAccumulator::new());
+        assert_eq!(a, before);
         let mut empty = TimeAccumulator::new();
         empty.merge(&TimeAccumulator::new());
         assert_eq!(empty.count(), 0);
@@ -311,6 +264,70 @@ mod tests {
 
     #[test]
     fn empty_summary_is_the_default() {
-        assert_eq!(Accumulator::new().summary(), Summary::default());
+        assert_eq!(TimeAccumulator::new().summary_ns(), Summary::default());
+    }
+
+    /// Random sample sets against the sort-based oracle: count, total,
+    /// quantiles, summary, merge of arbitrary splits and push order.
+    #[test]
+    fn matches_sorted_nearest_rank_oracle() {
+        let mut rng = SplitMix64::new(0x57A7_5EED);
+        for case in 0..200 {
+            let n = 1 + rng.index(300);
+            // few distinct values on even cases, wide spread on odd
+            let spread = if case % 2 == 0 { 8 } else { 1 << 40 };
+            let ps: Vec<u64> = (0..n).map(|_| rng.below(spread)).collect();
+            let mut whole = TimeAccumulator::new();
+            for &x in &ps {
+                whole.push(SimTime::from_ps(x));
+            }
+            assert_eq!(whole.count(), n);
+            assert_eq!(whole.total().as_ps(), ps.iter().sum::<u64>());
+            for q in [0.0, 1.0, rng.next_f64(), rng.next_f64()] {
+                assert_eq!(whole.quantile(q).as_ps(), sorted_nearest_rank(&ps, q));
+            }
+            let s = whole.summary_ns();
+            let ns = |q| SimTime::from_ps(sorted_nearest_rank(&ps, q)).as_ns();
+            assert_eq!(
+                (s.count, s.min, s.max, s.p50, s.p95, s.p99),
+                (n, ns(0.0), ns(1.0), ns(0.5), ns(0.95), ns(0.99))
+            );
+            let float_mean = ps.iter().map(|&x| x as f64 / 1e3).sum::<f64>() / n as f64;
+            assert!((s.mean - float_mean).abs() <= 1e-9 * float_mean.max(1.0));
+
+            let mut merged = TimeAccumulator::new();
+            let mut rest = &ps[..];
+            while !rest.is_empty() {
+                let (part, tail) = rest.split_at(rng.index(rest.len() + 1));
+                let mut acc = TimeAccumulator::new();
+                for &x in part {
+                    acc.push(SimTime::from_ps(x));
+                }
+                merged.merge(&acc);
+                rest = tail;
+            }
+            assert_eq!(merged, whole);
+
+            let mut shuffled = ps.clone();
+            rng.shuffle(&mut shuffled);
+            let mut reordered = TimeAccumulator::new();
+            for &x in &shuffled {
+                reordered.push(SimTime::from_ps(x));
+            }
+            assert_eq!(reordered, whole);
+        }
+        assert_eq!(acc_of(&[1, 2]), acc_of(&[2, 1]));
+    }
+
+    #[test]
+    fn memory_follows_distinct_values() {
+        let mut rng = SplitMix64::new(12);
+        let values: Vec<SimTime> = (0..12).map(|i| SimTime::from_ns(100 + 37 * i)).collect();
+        let mut acc = TimeAccumulator::new();
+        for _ in 0..1_000_000 {
+            acc.push(values[rng.index(values.len())]);
+        }
+        assert_eq!(acc.count(), 1_000_000);
+        assert_eq!(acc.counts.len(), values.len());
     }
 }

@@ -42,6 +42,7 @@
 //! [`TraceReport::to_chrome_trace`] writes Chrome `trace_event` JSON
 //! loadable in `about:tracing` or [Perfetto](https://ui.perfetto.dev).
 
+use crate::stats::TimeAccumulator;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -638,73 +639,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Deterministic integer histogram of modelled durations.
-///
-/// Samples are stored as raw picoseconds so summaries and equality are
-/// exact (no floating-point accumulation order effects).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TimeHist {
-    samples: Vec<u64>,
-}
-
-impl TimeHist {
-    /// Records one duration.
-    pub fn push(&mut self, t: SimTime) {
-        self.samples.push(t.as_ps());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().sum())
-    }
-
-    /// Smallest sample ([`SimTime::ZERO`] when empty).
-    pub fn min(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().copied().min().unwrap_or(0))
-    }
-
-    /// Largest sample ([`SimTime::ZERO`] when empty).
-    pub fn max(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Mean sample ([`SimTime::ZERO`] when empty).
-    pub fn mean(&self) -> SimTime {
-        if self.samples.is_empty() {
-            SimTime::ZERO
-        } else {
-            self.total() / self.samples.len() as u64
-        }
-    }
-
-    /// Nearest-rank quantile, `q` in `[0, 1]` (matches
-    /// [`crate::stats::Accumulator::quantile`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimTime {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return SimTime::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-        SimTime::from_ps(sorted[rank])
-    }
-
-    /// Appends another histogram's samples.
-    pub fn merge(&mut self, other: &TimeHist) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-}
-
 /// Flat event counters derived from the trace stream.
 ///
 /// These mirror the existing component ledgers (`OsStats`,
@@ -833,11 +767,11 @@ pub struct MetricsRegistry {
     /// Flat event counters.
     pub counters: TraceCounters,
     /// Duration histogram per stage.
-    pub stage_time: BTreeMap<Stage, TimeHist>,
+    pub stage_time: BTreeMap<Stage, TimeAccumulator>,
     /// Reconfiguration time per algorithm.
-    pub algo_reconfig: BTreeMap<u16, TimeHist>,
+    pub algo_reconfig: BTreeMap<u16, TimeAccumulator>,
     /// Execution time per algorithm.
-    pub algo_exec: BTreeMap<u16, TimeHist>,
+    pub algo_exec: BTreeMap<u16, TimeAccumulator>,
 }
 
 impl MetricsRegistry {
@@ -938,7 +872,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merges another registry (counters summed, histograms appended).
+    /// Merges another registry (counters summed, histograms merged).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         self.counters.merge(&other.counters);
         for (stage, hist) in &other.stage_time {
@@ -1538,36 +1472,35 @@ mod tests {
         assert_eq!(shard.events.len(), 4);
         assert!(!shard.metrics.stage_time.contains_key(&Stage::RomFetch));
         assert_eq!(shard.metrics.algo_reconfig[&9].total(), SimTime::from_ns(4));
-        assert_eq!(shard.metrics.algo_exec[&9].mean(), SimTime::from_ns(6));
+        assert_eq!(shard.metrics.algo_exec[&9].summary_ns().mean, 6.0);
     }
 
     #[test]
     fn time_hist_summaries() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), SimTime::ZERO);
+        assert_eq!(h.summary_ns().mean, 0.0);
         assert_eq!(h.quantile(0.5), SimTime::ZERO);
         for ns in [30u64, 10, 20] {
             h.push(SimTime::from_ns(ns));
         }
         assert_eq!(h.count(), 3);
         assert_eq!(h.total(), SimTime::from_ns(60));
-        assert_eq!(h.min(), SimTime::from_ns(10));
-        assert_eq!(h.max(), SimTime::from_ns(30));
-        assert_eq!(h.mean(), SimTime::from_ns(20));
-        assert_eq!(h.quantile(0.5), SimTime::from_ns(20));
+        assert_eq!(h.quantile(0.0), SimTime::from_ns(10));
         assert_eq!(h.quantile(1.0), SimTime::from_ns(30));
-        let mut other = TimeHist::default();
+        assert_eq!(h.summary_ns().mean, 20.0);
+        assert_eq!(h.quantile(0.5), SimTime::from_ns(20));
+        let mut other = TimeAccumulator::new();
         other.push(SimTime::from_ns(40));
         h.merge(&other);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), SimTime::from_ns(40));
+        assert_eq!(h.quantile(1.0), SimTime::from_ns(40));
     }
 
     #[test]
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn time_hist_rejects_out_of_range_quantile() {
-        TimeHist::default().quantile(1.5);
+        TimeAccumulator::new().quantile(1.5);
     }
 
     #[test]
@@ -1719,24 +1652,21 @@ mod tests {
 
     #[test]
     fn empty_hist_is_all_zero() {
-        let h = TimeHist::default();
+        let h = TimeAccumulator::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.total(), SimTime::ZERO);
-        assert_eq!(h.min(), SimTime::ZERO);
-        assert_eq!(h.max(), SimTime::ZERO);
-        assert_eq!(h.mean(), SimTime::ZERO);
+        assert_eq!(h.quantile(0.0), SimTime::ZERO);
         assert_eq!(h.quantile(0.5), SimTime::ZERO);
         assert_eq!(h.quantile(1.0), SimTime::ZERO);
+        assert_eq!(h.summary_ns().mean, 0.0);
     }
 
     #[test]
     fn single_sample_hist_is_degenerate() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         h.push(SimTime::from_ns(42));
         assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), SimTime::from_ns(42));
-        assert_eq!(h.max(), SimTime::from_ns(42));
-        assert_eq!(h.mean(), SimTime::from_ns(42));
+        assert_eq!(h.summary_ns().mean, 42.0);
         for q in [0.0, 0.5, 0.95, 1.0] {
             assert_eq!(h.quantile(q), SimTime::from_ns(42));
         }
@@ -1744,32 +1674,26 @@ mod tests {
 
     #[test]
     fn all_equal_hist_collapses_quantiles() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         for _ in 0..32 {
             h.push(SimTime::from_us(3));
         }
-        assert_eq!(h.mean(), SimTime::from_us(3));
+        assert_eq!(h.summary_ns().mean, 3_000.0);
         assert_eq!(h.quantile(0.5), SimTime::from_us(3));
         assert_eq!(h.quantile(0.99), SimTime::from_us(3));
         assert_eq!(h.total(), SimTime::from_us(3) * 32);
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
-    fn hist_quantile_out_of_range_panics() {
-        TimeHist::default().quantile(-0.1);
-    }
-
-    #[test]
     fn hist_merge_appends_samples() {
-        let mut a = TimeHist::default();
+        let mut a = TimeAccumulator::new();
         a.push(SimTime::from_ns(10));
-        let mut b = TimeHist::default();
+        let mut b = TimeAccumulator::new();
         b.push(SimTime::from_ns(30));
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimTime::from_ns(30));
-        a.merge(&TimeHist::default());
+        assert_eq!(a.quantile(1.0), SimTime::from_ns(30));
+        a.merge(&TimeAccumulator::new());
         assert_eq!(a.count(), 2, "merging empty is identity");
     }
 }

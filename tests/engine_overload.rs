@@ -346,6 +346,24 @@ fn percentile_policy_calibrates_deterministically() {
     let budget = a.deadline_budget.expect("overload mode resolves a budget");
     assert!(budget > SimTime::ZERO);
     assert_eq!(a.deadline_budget, b.deadline_budget);
+    // Exact budgets (8x the nearest-rank estimate), pinned so a change
+    // to the percentile code cannot move them silently.
+    for (pct, ps) in [
+        (0.0, 23_592_728),
+        (50.0, 32_189_096),
+        (95.0, 43_546_672),
+        (100.0, 43_546_672),
+    ] {
+        let oc = overload_config(
+            SimTime::from_us(100),
+            DeadlinePolicy::Percentile {
+                pct,
+                multiplier: 8.0,
+            },
+        );
+        let r = engine(2, oc, None).serve(&w).unwrap();
+        assert_eq!(r.deadline_budget, Some(SimTime::from_ps(ps)), "pct {pct}");
+    }
 }
 
 /// The same seed reproduces the identical overload report — outputs,
