@@ -12,9 +12,12 @@
 //! 2. Ablation: the bit-sliced batch netlist evaluator
 //!    ([`run_decoded_netlist_batch`], 64 lanes per walk) against the
 //!    scalar per-input walk ([`run_decoded_netlist`]) on the bank's
-//!    LUT netlists with E11-sized (256 B) inputs — the miss-batch
+//!    LUT netlists with E11-sized (256 B) inputs — the batch
 //!    evaluation path the controller takes on
-//!    [`aaod_mcu::MiniOs::invoke_batch`].
+//!    [`aaod_mcu::MiniOs::invoke_batch`]. The streaming `crc8` row
+//!    adds a third arm, the next-state table ([`StreamTable`]) the
+//!    controller compiles once per configuration for streaming
+//!    netlists of at most 16 inputs, with its one-off compile time.
 //!
 //! Regression floors this bench commits to (and CI re-asserts):
 //! **combinational bit-sliced speedup ≥ 4×** over the scalar walk, and
@@ -25,7 +28,9 @@
 
 use aaod_bench::criterion_fast;
 use aaod_core::{run_workload, CoProcessor, Engine, EngineConfig, ShardPolicy};
-use aaod_fabric::{run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, NetlistMode};
+use aaod_fabric::{
+    run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, NetlistMode, StreamTable,
+};
 use aaod_sim::report::Table;
 use aaod_workload::{mixes, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -190,7 +195,7 @@ fn print_ablation_table() {
         ),
     ];
     let mut t = Table::new(
-        "E16b: miss-batch netlist evaluation, scalar walk vs bit-sliced (600 x 256 B)",
+        "E16b: batch netlist evaluation, scalar walk vs bit-sliced vs tabulated (600 x 256 B)",
         &[
             "netlist",
             "mode",
@@ -198,6 +203,9 @@ fn print_ablation_table() {
             "sliced",
             "speedup",
             "MB/s sliced",
+            "tabulated",
+            "tab speedup",
+            "tab compile",
         ],
     );
     let mut json_rows = Vec::new();
@@ -219,6 +227,26 @@ fn print_ablation_table() {
         for (input, got) in refs.iter().zip(&batched) {
             assert_eq!(got, &run_decoded_netlist(&netlist, mode, input).unwrap());
         }
+        // Tabulated arm (small streaming netlists only): checked byte
+        // for byte against the scalar walk, then timed apart from its
+        // one-off compile.
+        let tabulated = StreamTable::compile(&netlist, mode).map(|table| {
+            for input in &refs {
+                assert_eq!(
+                    table.run(input),
+                    run_decoded_netlist(&netlist, mode, input).unwrap()
+                );
+            }
+            let compile_s = best_wall_s(reps, || {
+                black_box(StreamTable::compile(&netlist, mode));
+            });
+            let run_s = best_wall_s(reps, || {
+                for input in &refs {
+                    black_box(table.run(input));
+                }
+            });
+            (run_s, compile_s)
+        });
         let speedup = scalar_s / sliced_s;
         if mode == NetlistMode::Combinational {
             worst_comb_speedup = worst_comb_speedup.min(speedup);
@@ -227,18 +255,35 @@ fn print_ablation_table() {
             NetlistMode::Combinational => "combinational",
             NetlistMode::Streaming => "streaming",
         };
-        t.row_owned(vec![
+        let mut row = vec![
             name.to_string(),
             mode_name.to_string(),
             format!("{:.2}ms", scalar_s * 1e3),
             format!("{:.2}ms", sliced_s * 1e3),
             format!("{speedup:.1}x"),
             format!("{:.1}", total_bytes as f64 / sliced_s / 1e6),
-        ]);
+        ];
+        let mut tab_json = String::new();
+        match tabulated {
+            Some((run_s, compile_s)) => {
+                row.push(format!("{:.3}ms", run_s * 1e3));
+                row.push(format!("{:.1}x", scalar_s / run_s));
+                row.push(format!("{:.3}ms", compile_s * 1e3));
+                tab_json = format!(
+                    ",\"tabulated_ms\":{:.3},\"tabulated_speedup\":{:.2},\
+                     \"tabulate_compile_ms\":{:.3}",
+                    run_s * 1e3,
+                    scalar_s / run_s,
+                    compile_s * 1e3,
+                );
+            }
+            None => row.extend(["-", "-", "-"].map(String::from)),
+        }
+        t.row_owned(row);
         json_rows.push(format!(
             "{{\"netlist\":\"{name}\",\"mode\":\"{mode_name}\",\"inputs\":{},\"bytes\":{total_bytes},\
              \"scalar_ms\":{:.3},\"sliced_ms\":{:.3},\"speedup\":{speedup:.2},\
-             \"sliced_bytes_per_s\":{:.0}}}",
+             \"sliced_bytes_per_s\":{:.0}{tab_json}}}",
             refs.len(),
             scalar_s * 1e3,
             sliced_s * 1e3,

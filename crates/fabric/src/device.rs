@@ -29,6 +29,7 @@ pub struct Device {
     frames: Vec<Vec<u8>>,
     frame_writes: u64,
     full_configs: u64,
+    epoch: u64,
 }
 
 impl Device {
@@ -40,6 +41,7 @@ impl Device {
             frames: vec![vec![0u8; fb]; geometry.frames()],
             frame_writes: 0,
             full_configs: 0,
+            epoch: 0,
         }
     }
 
@@ -65,6 +67,7 @@ impl Device {
         }
         self.frames[addr.index()].copy_from_slice(bytes);
         self.frame_writes += 1;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -87,6 +90,7 @@ impl Device {
         self.geometry.check(addr)?;
         self.frames[addr.index()].fill(0);
         self.frame_writes += 1;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -123,6 +127,7 @@ impl Device {
             self.frames[i].copy_from_slice(frame);
         }
         self.full_configs += 1;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -197,6 +202,7 @@ impl Device {
         assert!(byte < self.geometry.frame_bytes(), "byte offset {byte}");
         assert!(bit < 8, "bit index {bit}");
         self.frames[addr.index()][byte] ^= 1 << bit;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -208,6 +214,17 @@ impl Device {
     /// Number of full reconfigurations performed so far.
     pub fn full_configs(&self) -> u64 {
         self.full_configs
+    }
+
+    /// The configuration epoch: a counter every frame mutation
+    /// advances ([`Device::write_frame`], [`Device::clear_frame`],
+    /// [`Device::full_configure`] and [`Device::flip_bit`] alike). While
+    /// it is unchanged no configuration bit has changed, so anything
+    /// decoded from the frames at that epoch is still exactly what the
+    /// frames say. Epochs compare only within one `Device` value; a
+    /// fresh device starts again at zero.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
@@ -355,6 +372,28 @@ mod tests {
             .iter()
             .all(|&b| b == 0));
         assert!(dev.flip_bit(FrameAddress(99), 0, 0).is_err());
+    }
+
+    #[test]
+    fn every_frame_mutator_advances_the_epoch() {
+        let g = geom();
+        let mut dev = Device::new(g);
+        assert_eq!(dev.epoch(), 0);
+        let frame = vec![0x5A; g.frame_bytes()];
+        dev.write_frame(FrameAddress(1), &frame).unwrap();
+        assert_eq!(dev.epoch(), 1);
+        dev.clear_frame(FrameAddress(1)).unwrap();
+        assert_eq!(dev.epoch(), 2);
+        dev.full_configure(&[frame]).unwrap();
+        assert_eq!(dev.epoch(), 3);
+        dev.flip_bit(FrameAddress(0), 0, 0).unwrap();
+        assert_eq!(dev.epoch(), 4);
+        // reads and rejected mutations leave it alone
+        dev.read_frame(FrameAddress(0)).unwrap();
+        dev.decode_function(&[FrameAddress(0)]).unwrap_err();
+        assert!(dev.write_frame(FrameAddress(0), &[1]).is_err());
+        assert!(dev.clear_frame(FrameAddress(99)).is_err());
+        assert_eq!(dev.epoch(), 4);
     }
 
     #[test]

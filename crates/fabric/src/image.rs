@@ -434,7 +434,10 @@ impl FunctionImage {
 /// Validates a decoded netlist's width contract for `mode` and returns
 /// the per-transfer byte widths `(in_bytes, out_bytes)` (streaming
 /// consumes one byte per step, so `in_bytes` is 1 there).
-fn netlist_io_bytes(netlist: &Netlist, mode: NetlistMode) -> Result<(usize, usize), FabricError> {
+pub(crate) fn netlist_io_bytes(
+    netlist: &Netlist,
+    mode: NetlistMode,
+) -> Result<(usize, usize), FabricError> {
     match mode {
         NetlistMode::Combinational => {
             if !netlist.n_inputs().is_multiple_of(8) || netlist.n_inputs() == 0 {

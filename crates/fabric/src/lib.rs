@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod config_port;
 pub mod device;
 pub mod digest;
@@ -40,6 +41,7 @@ pub mod image;
 pub mod netlist;
 pub mod opt;
 
+pub use compiled::{CompiledFunction, StreamTable};
 pub use config_port::ConfigPort;
 pub use device::Device;
 pub use error::FabricError;

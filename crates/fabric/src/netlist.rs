@@ -4,9 +4,9 @@
 //! mapped netlists of 4-input LUTs. A [`NetlistBuilder`] provides gate
 //! primitives (built on [`NetlistBuilder::lut4`]); the finished
 //! [`Netlist`] is serialised into configuration frames by
-//! [`crate::image::FunctionImage`] and — crucially — *re-decoded from
-//! those frame bytes* before every execution, so the fabric really
-//! computes from its configured bits.
+//! [`crate::image::FunctionImage`] and — crucially — *decoded from
+//! those frame bytes*, again after any configuration change, so the
+//! fabric really computes from its configured bits.
 //!
 //! # Net numbering
 //!

@@ -29,11 +29,12 @@ use aaod_algos::{AlgoError, AlgorithmBank};
 use aaod_bitstream::codec::{registry, CodecId};
 use aaod_bitstream::{Bitstream, BitstreamHeader, FrameStore, HEADER_BYTES};
 use aaod_fabric::{
-    run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, ConfigPort, Device,
-    DeviceGeometry, FrameAddress, FunctionKind,
+    run_decoded_netlist, BatchScratch, CompiledFunction, ConfigPort, Device, DeviceGeometry,
+    FrameAddress, FunctionKind,
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
 use aaod_sim::{Clock, SimTime, SplitMix64};
+use std::sync::Arc;
 
 /// How the controller reconfigures the device on a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,11 +329,13 @@ impl MiniOs {
     }
 
     /// Services a batch of requests for the *same* function,
-    /// coalescing the miss cost: the record lookup, residency check,
-    /// (re)configuration and frame-bits image decode are paid once for
-    /// the whole batch, then each input is staged, executed and
-    /// collected individually. The first report carries the shared
-    /// costs; the remaining requests are hits by construction.
+    /// coalescing the miss cost: the record lookup, residency check and
+    /// (re)configuration are paid once for the whole batch, then each
+    /// input is staged, executed and collected individually. The first
+    /// report carries the shared costs; the remaining requests are hits
+    /// by construction. The frame-bits decode is host work, not
+    /// modelled time: it runs once per configuration and is reused
+    /// while the device's configuration epoch is unchanged.
     ///
     /// Outputs are byte-identical to invoking the inputs one by one —
     /// this is what lets the serving engine batch queued misses.
@@ -361,35 +364,14 @@ impl MiniOs {
         // 2. residency — once per batch
         let outcome = self.ensure_resident(&record)?;
 
-        // 3. decode the configured bits back into an image — once
-        let frames = &self
-            .table
-            .get(algo_id)
-            .expect("function resident at this point")
-            .frames;
-        let image = self
-            .device
-            .decode_function_with(frames, &mut self.frame_flat)?;
-        if image.algo_id() != algo_id {
-            return Err(McuError::RecordMismatch(format!(
-                "frames decode to algorithm {}, record says {algo_id}",
-                image.algo_id()
-            )));
-        }
+        // 3. the function as configured: decoded from the frame bits
+        // once per configuration and reused while no frame changes
+        let compiled = self.compiled_function(algo_id)?;
 
-        // 4. decode the payload once for the whole batch; netlist
-        // functions evaluate every input bit-sliced in one pass (64
-        // lanes per netlist walk) before the per-input staging loop.
-        let kind = image.kind()?;
-        let mut sliced_outputs = match &kind {
-            FunctionKind::Netlist { netlist, mode } => Some(run_decoded_netlist_batch(
-                netlist,
-                *mode,
-                inputs,
-                &mut self.batch_scratch,
-            )?),
-            FunctionKind::Behavioral { .. } => None,
-        };
+        // 4. netlist functions evaluate every input up front — through
+        // the next-state table or bit-sliced (64 lanes per netlist
+        // walk) — before the per-input staging loop.
+        let mut sliced_outputs = compiled.run_netlist_batch(inputs, &mut self.batch_scratch)?;
 
         // 5. stage/execute/collect each input
         let mut results = Vec::with_capacity(inputs.len());
@@ -398,7 +380,7 @@ impl MiniOs {
                 .as_mut()
                 .map(|outs| std::mem::take(&mut outs[i]));
             let (output, input_time, exec_time, output_time) =
-                self.execute_one(algo_id, &record, &kind, input, precomputed)?;
+                self.execute_one(algo_id, &record, compiled.kind(), input, precomputed)?;
             let first = i == 0;
             let report = InvokeReport {
                 algo_id,
@@ -455,6 +437,43 @@ impl MiniOs {
         let probes = self.rom.record_probes() - probes_before;
         let lookup_time = self.mem_timing.rom_read_time(probes * RECORD_BYTES as u64);
         Ok((record, lookup_time))
+    }
+
+    /// The resident function `algo_id` as its frames configure it.
+    ///
+    /// The compiled form on the residency is reused while the device's
+    /// configuration epoch is the one it was decoded at. Otherwise the
+    /// frames are read back and decoded in full — digest, algorithm-id
+    /// check and payload parse — so an SEU, torn write, repair or
+    /// reconfiguration surfaces on the very next batch. A payload that
+    /// decodes equal to the last compiled one keeps its compiled form
+    /// (and table) under the new epoch.
+    fn compiled_function(&mut self, algo_id: u16) -> Result<Arc<CompiledFunction>, McuError> {
+        let epoch = self.device.epoch();
+        let residency = self
+            .table
+            .get(algo_id)
+            .expect("function resident at this point");
+        if let Some(compiled) = residency.compiled_at(epoch) {
+            return Ok(Arc::clone(compiled));
+        }
+        let image = self
+            .device
+            .decode_function_with(&residency.frames, &mut self.frame_flat)?;
+        if image.algo_id() != algo_id {
+            return Err(McuError::RecordMismatch(format!(
+                "frames decode to algorithm {}, record says {algo_id}",
+                image.algo_id()
+            )));
+        }
+        let kind = image.kind()?;
+        let compiled = match residency.last_compiled() {
+            Some(last) if *last.kind() == kind => Arc::clone(last),
+            _ => Arc::new(CompiledFunction::new(kind)),
+        };
+        self.table
+            .set_compiled(algo_id, epoch, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Makes the function resident, evicting per policy and
@@ -666,9 +685,9 @@ impl MiniOs {
     }
 
     /// Stages one input, executes the decoded payload on it, and
-    /// collects the output. Netlist batches are evaluated bit-sliced
-    /// up front by [`MiniOs::invoke_batch`] and arrive here as
-    /// `precomputed`; a `None` falls back to the scalar walk.
+    /// collects the output. Netlist batches are evaluated up front by
+    /// [`MiniOs::invoke_batch`] and arrive here as `precomputed`; a
+    /// `None` falls back to the scalar walk.
     fn execute_one(
         &mut self,
         algo_id: u16,

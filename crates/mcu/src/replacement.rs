@@ -9,11 +9,12 @@
 //! [`LfuPolicy`], [`RandomPolicy`] and the clairvoyant [`BeladyPolicy`]
 //! are provided as baselines and an upper bound for experiment E4.
 
-use aaod_fabric::FrameAddress;
+use aaod_fabric::{CompiledFunction, FrameAddress};
 use aaod_sim::{SimTime, SplitMix64};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Per-resident-algorithm bookkeeping: the Frame Replacement Table row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +27,26 @@ pub struct Residency {
     pub loaded_at: SimTime,
     /// Number of accesses since it was configured.
     pub accesses: u64,
+    /// The function decoded from its frames, with the device
+    /// configuration epoch it was decoded at. Dropped with the row,
+    /// so it never outlives the residency.
+    compiled: Option<(u64, Arc<CompiledFunction>)>,
+}
+
+impl Residency {
+    /// The compiled function, if it was decoded at device epoch
+    /// `epoch` — i.e. no frame of the device has changed since.
+    pub(crate) fn compiled_at(&self, epoch: u64) -> Option<&Arc<CompiledFunction>> {
+        match &self.compiled {
+            Some((at, compiled)) if *at == epoch => Some(compiled),
+            _ => None,
+        }
+    }
+
+    /// The last compiled function, whatever epoch it was decoded at.
+    pub fn last_compiled(&self) -> Option<&Arc<CompiledFunction>> {
+        self.compiled.as_ref().map(|(_, compiled)| compiled)
+    }
 }
 
 /// The Frame Replacement Table: resident algorithms and their frames.
@@ -62,8 +83,30 @@ impl ReplacementTable {
                 last_access: now,
                 loaded_at: now,
                 accesses: 0,
+                compiled: None,
             },
         );
+    }
+
+    /// Records `compiled` as `algo_id`'s function as decoded at device
+    /// epoch `epoch`. A no-op when `algo_id` is not resident.
+    pub(crate) fn set_compiled(
+        &mut self,
+        algo_id: u16,
+        epoch: u64,
+        compiled: Arc<CompiledFunction>,
+    ) {
+        if let Some(r) = self.entries.get_mut(&algo_id) {
+            r.compiled = Some((epoch, compiled));
+        }
+    }
+
+    /// Number of resident algorithms holding a compiled function.
+    pub fn compiled_count(&self) -> usize {
+        self.entries
+            .values()
+            .filter(|r| r.compiled.is_some())
+            .count()
     }
 
     /// Removes an algorithm, returning its residency (frames to free).
