@@ -18,6 +18,11 @@
 //!    adds a third arm, the next-state table ([`StreamTable`]) the
 //!    controller compiles once per configuration for streaming
 //!    netlists of at most 16 inputs, with its one-off compile time.
+//! 3. Software kernels: host MB/s of `Kernel::execute` for each
+//!    standard-bank kernel on 1,504 B inputs (the `fleet_chaos` 3DES
+//!    request size). Behavioural jobs run `execute` on the serving hot
+//!    path ([`aaod_mcu::MiniOs`]), so this is serving speed; it is
+//!    unrelated to the modelled `software_cycles`. No floor.
 //!
 //! Regression floors this bench commits to (and CI re-asserts):
 //! **combinational bit-sliced speedup ≥ 4×** over the scalar walk, and
@@ -26,6 +31,7 @@
 //! trip them but losing an allocation-free or bit-sliced hot path
 //! will.
 
+use aaod_algos::AlgorithmBank;
 use aaod_bench::criterion_fast;
 use aaod_core::{run_workload, CoProcessor, Engine, EngineConfig, ShardPolicy};
 use aaod_fabric::{
@@ -302,9 +308,50 @@ fn print_ablation_table() {
     );
 }
 
+fn print_software_table() {
+    const INPUT_LEN: usize = 1504;
+    const CALLS: usize = 20;
+    let mut input = vec![0u8; INPUT_LEN];
+    aaod_sim::SplitMix64::new(1504).fill(&mut input);
+    let mut t = Table::new(
+        "E16c: software kernels, Kernel::execute on 1504 B inputs",
+        &["kernel", "id", "us/call", "MB/s"],
+    );
+    let mut json_rows = Vec::new();
+    for kernel in AlgorithmBank::standard().iter() {
+        let params = kernel.default_params();
+        let wall_s = best_wall_s(5, || {
+            for _ in 0..CALLS {
+                black_box(kernel.execute(&params, black_box(&input)).expect("execute"));
+            }
+        }) / CALLS as f64;
+        let mb_per_s = INPUT_LEN as f64 / wall_s / 1e6;
+        t.row_owned(vec![
+            kernel.name().to_string(),
+            kernel.algo_id().to_string(),
+            format!("{:.2}", wall_s * 1e6),
+            format!("{mb_per_s:.1}"),
+        ]);
+        json_rows.push(format!(
+            "{{\"kernel\":\"{}\",\"id\":{},\"input_bytes\":{INPUT_LEN},\
+             \"us_per_call\":{:.3},\"bytes_per_s\":{:.0}}}",
+            kernel.name(),
+            kernel.algo_id(),
+            wall_s * 1e6,
+            INPUT_LEN as f64 / wall_s,
+        ));
+    }
+    println!("{t}");
+    println!(
+        "BENCH_JSON {{\"experiment\":\"e16_hostperf_software\",\"rows\":[{}]}}",
+        json_rows.join(",")
+    );
+}
+
 fn bench(c: &mut Criterion) {
     print_throughput_table();
     print_ablation_table();
+    print_software_table();
     let w = e11_mix();
     let mut group = c.benchmark_group("e16_hostperf");
     let engine = Engine::new(EngineConfig {
