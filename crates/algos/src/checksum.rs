@@ -1,10 +1,12 @@
 //! CRC-32 checksum kernel.
 //!
-//! Uses the CRC-32 from [`aaod_bitstream::crc`] as its golden model —
-//! deliberately the same code path that protects bitstream payloads, so
-//! the two implementations cross-check each other in the integration
-//! tests. The hardware model is a 32-bit-parallel LFSR absorbing four
-//! bytes per fabric cycle.
+//! Computes with the CRC-32 from [`aaod_bitstream::crc`], the same
+//! slicing-by-8 code that protects bitstream payloads, so there is one
+//! implementation, not two. Its independent check is the bitwise
+//! definition kept as a test oracle in that module: every length up to
+//! 2 KiB and every split of an incremental update must agree with it.
+//! The test below pins the standard check value. The hardware model is
+//! a 32-bit-parallel LFSR absorbing four bytes per fabric cycle.
 
 use crate::filler::behavioral_image;
 use crate::ids;

@@ -2,7 +2,7 @@
 //! itself.
 //!
 //! Every other experiment reports *modelled* time; this one reports
-//! how fast the host actually grinds through simulated requests. Two
+//! how fast the host actually grinds through simulated requests. Four
 //! tables:
 //!
 //! 1. Throughput: simulated requests per wall-clock second (and input
@@ -23,6 +23,14 @@
 //!    request size). Behavioural jobs run `execute` on the serving hot
 //!    path ([`aaod_mcu::MiniOs`]), so this is serving speed; it is
 //!    unrelated to the modelled `software_cycles`. No floor.
+//! 4. Miss path: host µs per reconfiguration miss for each DSP/AI
+//!    image (MatMul16, Conv2d, Fft64 — the `kernel_reconfig` images),
+//!    split into the payload CRC-32, windowed LZSS decompression plus
+//!    configuration-port writes ([`ConfigModule::configure`] less its
+//!    CRC), and compiling the configured function: the full readback
+//!    decode a changed image takes, and the byte compare against the
+//!    verified image that re-configuring an unchanged one takes. None
+//!    of this is modelled time. No floor.
 //!
 //! Regression floors this bench commits to (and CI re-asserts):
 //! **combinational bit-sliced speedup ≥ 4×** over the scalar walk, and
@@ -31,12 +39,16 @@
 //! trip them but losing an allocation-free or bit-sliced hot path
 //! will.
 
-use aaod_algos::AlgorithmBank;
+use aaod_algos::{ids, AlgorithmBank};
 use aaod_bench::criterion_fast;
+use aaod_bitstream::crc::crc32;
+use aaod_bitstream::HEADER_BYTES;
 use aaod_core::{run_workload, CoProcessor, Engine, EngineConfig, ShardPolicy};
 use aaod_fabric::{
-    run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, NetlistMode, StreamTable,
+    run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, CompiledFunction, ConfigPort,
+    Device, FrameAddress, FunctionImage, NetlistMode, StreamTable,
 };
+use aaod_mcu::{ConfigModule, MiniOs, MiniOsConfig};
 use aaod_sim::report::Table;
 use aaod_workload::{mixes, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -348,10 +360,110 @@ fn print_software_table() {
     );
 }
 
+fn print_miss_path_table() {
+    const CALLS: usize = 20;
+    let config = MiniOsConfig {
+        bank: AlgorithmBank::extended(),
+        ..MiniOsConfig::default()
+    };
+    let window = config.window;
+    let os = MiniOs::new(config);
+    let geom = os.geometry();
+    let port = ConfigPort::selectmap8();
+    let mut module = ConfigModule::new(window, os.mcu_clock());
+    let mut t = Table::new(
+        "E16d: host cost of one reconfiguration miss (LZSS, 256 B windows)",
+        &[
+            "image",
+            "frames",
+            "payload B",
+            "CRC us",
+            "decompress+port us",
+            "compile full us",
+            "compile verified us",
+            "miss us",
+        ],
+    );
+    let mut json_rows = Vec::new();
+    for id in ids::DSP_AI {
+        let name = os.bank().kernel(id).expect("extended bank").name();
+        let encoded = os.encode_bitstream(id).expect("encode");
+        let payload = &encoded[HEADER_BYTES..];
+        let image_bytes = os
+            .bank()
+            .build_image(id, geom)
+            .expect("image")
+            .encode(geom)
+            .concat();
+        let addrs: Vec<FrameAddress> = (0..(image_bytes.len() / geom.frame_bytes()) as u16)
+            .map(FrameAddress)
+            .collect();
+        let mut device = Device::new(geom);
+        let per_call = |f: &mut dyn FnMut()| {
+            best_wall_s(5, || {
+                for _ in 0..CALLS {
+                    f();
+                }
+            }) / CALLS as f64
+                * 1e6
+        };
+        let crc_us = per_call(&mut || {
+            black_box(crc32(black_box(payload)));
+        });
+        let configure_us = per_call(&mut || {
+            black_box(
+                module
+                    .configure(&encoded, &mut device, &port, &addrs)
+                    .expect("configure"),
+            );
+        });
+        let decompress_us = (configure_us - crc_us).max(0.0);
+        let mut flat = Vec::new();
+        let full_us = per_call(&mut || {
+            device
+                .read_frames_into(&addrs, &mut flat)
+                .expect("read back");
+            let image = FunctionImage::from_bytes(&flat).expect("decode");
+            black_box(CompiledFunction::new(image.kind().expect("kind")));
+        });
+        let verified_us = per_call(&mut || {
+            device
+                .read_frames_into(&addrs, &mut flat)
+                .expect("read back");
+            assert!(black_box(&flat) == &image_bytes);
+        });
+        let miss_us = crc_us + decompress_us + verified_us;
+        t.row_owned(vec![
+            name.to_string(),
+            addrs.len().to_string(),
+            payload.len().to_string(),
+            format!("{crc_us:.1}"),
+            format!("{decompress_us:.1}"),
+            format!("{full_us:.1}"),
+            format!("{verified_us:.1}"),
+            format!("{miss_us:.1}"),
+        ]);
+        json_rows.push(format!(
+            "{{\"image\":\"{name}\",\"id\":{id},\"frames\":{},\"payload_bytes\":{},\
+             \"crc_us\":{crc_us:.2},\"decompress_port_us\":{decompress_us:.2},\
+             \"compile_full_us\":{full_us:.2},\"compile_verified_us\":{verified_us:.2},\
+             \"miss_us\":{miss_us:.2}}}",
+            addrs.len(),
+            payload.len(),
+        ));
+    }
+    println!("{t}");
+    println!(
+        "BENCH_JSON {{\"experiment\":\"e16_hostperf_miss_path\",\"rows\":[{}]}}",
+        json_rows.join(",")
+    );
+}
+
 fn bench(c: &mut Criterion) {
     print_throughput_table();
     print_ablation_table();
     print_software_table();
+    print_miss_path_table();
     let w = e11_mix();
     let mut group = c.benchmark_group("e16_hostperf");
     let engine = Engine::new(EngineConfig {

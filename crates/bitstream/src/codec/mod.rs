@@ -3,8 +3,9 @@
 //! The configuration module of the paper decompresses a bitstream
 //! *window by window* so the on-card buffer stays small. Every codec
 //! here therefore exposes a [`Decompressor`] that yields output
-//! incrementally from bounded working memory (RLE run state, a 4 KiB
-//! LZSS history ring, one previous frame for the frame-XOR codec).
+//! incrementally from bounded working memory (RLE run state, a 12 KiB
+//! LZSS dictionary holding the last 4 KiB of history, one previous
+//! frame for the frame-XOR codec).
 //!
 //! Codecs also carry a per-output-byte cycle cost used by the
 //! microcontroller timing model, so experiment E2/E8 can trade ratio

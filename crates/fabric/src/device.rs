@@ -172,12 +172,28 @@ impl Device {
         addrs: &[FrameAddress],
         flat: &mut Vec<u8>,
     ) -> Result<FunctionImage, FabricError> {
+        self.read_frames_into(addrs, flat)?;
+        FunctionImage::from_bytes(flat)
+    }
+
+    /// Reads the frames at `addrs`, in order, into `flat` (replacing
+    /// its contents): the bytes [`Device::decode_function_with`]
+    /// decodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::FrameOutOfRange`] for a bad address.
+    pub fn read_frames_into(
+        &self,
+        addrs: &[FrameAddress],
+        flat: &mut Vec<u8>,
+    ) -> Result<(), FabricError> {
         flat.clear();
         flat.reserve(addrs.len() * self.geometry.frame_bytes());
         for &addr in addrs {
             flat.extend_from_slice(self.read_frame(addr)?);
         }
-        FunctionImage::from_bytes(flat)
+        Ok(())
     }
 
     /// Flips one configuration bit in place — the single-event-upset

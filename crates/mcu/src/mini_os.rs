@@ -30,10 +30,11 @@ use aaod_bitstream::codec::{registry, CodecId};
 use aaod_bitstream::{Bitstream, BitstreamHeader, FrameStore, HEADER_BYTES};
 use aaod_fabric::{
     run_decoded_netlist, BatchScratch, CompiledFunction, ConfigPort, Device, DeviceGeometry,
-    FrameAddress, FunctionKind,
+    FrameAddress, FunctionImage, FunctionKind,
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
 use aaod_sim::{Clock, SimTime, SplitMix64};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the controller reconfigures the device on a miss.
@@ -209,6 +210,20 @@ pub struct MiniOs {
     batch_scratch: BatchScratch,
     /// Reusable flat buffer for frame readback decode.
     frame_flat: Vec<u8>,
+    /// Per algorithm, the last image bytes that passed the full
+    /// readback decode and the function compiled from them. Survives
+    /// eviction; holds at most one entry per algorithm since reset.
+    verified: BTreeMap<u16, VerifiedImage>,
+}
+
+/// Image bytes a function's frames held when they passed the full
+/// readback decode — digest, algorithm-id check and payload parse —
+/// with the function compiled from them. That decode is a pure
+/// function of the bytes, so frames holding exactly these bytes again
+/// pass it again, with this function.
+struct VerifiedImage {
+    bytes: Vec<u8>,
+    compiled: Arc<CompiledFunction>,
 }
 
 impl std::fmt::Debug for MiniOs {
@@ -257,6 +272,7 @@ impl MiniOs {
             last_invoked: None,
             batch_scratch: BatchScratch::default(),
             frame_flat: Vec::new(),
+            verified: BTreeMap::new(),
         }
     }
 
@@ -442,12 +458,14 @@ impl MiniOs {
     /// The resident function `algo_id` as its frames configure it.
     ///
     /// The compiled form on the residency is reused while the device's
-    /// configuration epoch is the one it was decoded at. Otherwise the
-    /// frames are read back and decoded in full — digest, algorithm-id
-    /// check and payload parse — so an SEU, torn write, repair or
-    /// reconfiguration surfaces on the very next batch. A payload that
-    /// decodes equal to the last compiled one keeps its compiled form
-    /// (and table) under the new epoch.
+    /// configuration epoch is the one it was checked at. Otherwise the
+    /// frames are read back. Bytes equal to the algorithm's verified
+    /// image reuse its compiled function; any other bytes are decoded
+    /// in full — digest, algorithm-id check and payload parse — so an
+    /// SEU, torn write, repair or reconfiguration surfaces on the very
+    /// next batch. A payload that decodes equal to the verified one
+    /// keeps its compiled form (and table), and the new bytes become
+    /// the verified image.
     fn compiled_function(&mut self, algo_id: u16) -> Result<Arc<CompiledFunction>, McuError> {
         let epoch = self.device.epoch();
         let residency = self
@@ -457,19 +475,33 @@ impl MiniOs {
         if let Some(compiled) = residency.compiled_at(epoch) {
             return Ok(Arc::clone(compiled));
         }
-        let image = self
-            .device
-            .decode_function_with(&residency.frames, &mut self.frame_flat)?;
-        if image.algo_id() != algo_id {
-            return Err(McuError::RecordMismatch(format!(
-                "frames decode to algorithm {}, record says {algo_id}",
-                image.algo_id()
-            )));
-        }
-        let kind = image.kind()?;
-        let compiled = match residency.last_compiled() {
-            Some(last) if *last.kind() == kind => Arc::clone(last),
-            _ => Arc::new(CompiledFunction::new(kind)),
+        self.device
+            .read_frames_into(&residency.frames, &mut self.frame_flat)?;
+        let memo = self.verified.get(&algo_id);
+        let compiled = match memo {
+            Some(memo) if memo.bytes == self.frame_flat => Arc::clone(&memo.compiled),
+            _ => {
+                let image = FunctionImage::from_bytes(&self.frame_flat)?;
+                if image.algo_id() != algo_id {
+                    return Err(McuError::RecordMismatch(format!(
+                        "frames decode to algorithm {}, record says {algo_id}",
+                        image.algo_id()
+                    )));
+                }
+                let kind = image.kind()?;
+                let compiled = match memo {
+                    Some(memo) if *memo.compiled.kind() == kind => Arc::clone(&memo.compiled),
+                    _ => Arc::new(CompiledFunction::new(kind)),
+                };
+                self.verified.insert(
+                    algo_id,
+                    VerifiedImage {
+                        bytes: self.frame_flat.clone(),
+                        compiled: Arc::clone(&compiled),
+                    },
+                );
+                compiled
+            }
         };
         self.table
             .set_compiled(algo_id, epoch, Arc::clone(&compiled));
@@ -925,6 +957,7 @@ impl MiniOs {
         self.predictor.clear();
         self.prefetched.clear();
         self.last_invoked = None;
+        self.verified.clear();
         let t = self.port.full_time(geom);
         self.now += t;
         t
@@ -1209,6 +1242,18 @@ impl MiniOs {
     /// The decoded-bitstream cache (inspection/tests).
     pub fn decoded_cache(&self) -> &DecodedCache {
         &self.decoded
+    }
+
+    /// The function compiled from the last image bytes of `algo_id`
+    /// that passed the full readback decode, resident or not
+    /// (inspection/tests).
+    pub fn verified_function(&self, algo_id: u16) -> Option<&Arc<CompiledFunction>> {
+        self.verified.get(&algo_id).map(|memo| &memo.compiled)
+    }
+
+    /// Number of algorithms holding a verified image (inspection/tests).
+    pub fn verified_count(&self) -> usize {
+        self.verified.len()
     }
 
     /// The content-addressed frame store (inspection/tests).

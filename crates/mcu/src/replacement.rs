@@ -27,25 +27,20 @@ pub struct Residency {
     pub loaded_at: SimTime,
     /// Number of accesses since it was configured.
     pub accesses: u64,
-    /// The function decoded from its frames, with the device
-    /// configuration epoch it was decoded at. Dropped with the row,
+    /// The function its frames were checked to configure, with the
+    /// device configuration epoch of that check. Dropped with the row,
     /// so it never outlives the residency.
     compiled: Option<(u64, Arc<CompiledFunction>)>,
 }
 
 impl Residency {
-    /// The compiled function, if it was decoded at device epoch
+    /// The compiled function, if it was checked at device epoch
     /// `epoch` — i.e. no frame of the device has changed since.
     pub(crate) fn compiled_at(&self, epoch: u64) -> Option<&Arc<CompiledFunction>> {
         match &self.compiled {
             Some((at, compiled)) if *at == epoch => Some(compiled),
             _ => None,
         }
-    }
-
-    /// The last compiled function, whatever epoch it was decoded at.
-    pub fn last_compiled(&self) -> Option<&Arc<CompiledFunction>> {
-        self.compiled.as_ref().map(|(_, compiled)| compiled)
     }
 }
 

@@ -4,6 +4,11 @@
 //! the configuration through every mutation path, and check that the
 //! next batch answers exactly what a fresh readback decode of the
 //! frames would: the same output, or the same error.
+//!
+//! Past eviction, the controller keeps per algorithm the image bytes
+//! that last passed the full decode. Frames read back byte-equal to
+//! them reuse that compiled function; the tests below check that any
+//! other bytes still take the full decode.
 
 use aaod_algos::{ids, netlists};
 use aaod_fabric::netlist::Lut;
@@ -153,10 +158,9 @@ fn torn_configuration_is_seen_on_the_next_batch() {
     }
 }
 
-/// The compiled form `algo`'s residency holds.
+/// The compiled form `algo`'s frames last passed the full decode with.
 fn compiled(os: &MiniOs, algo: u16) -> Arc<CompiledFunction> {
-    let residency = os.table().get(algo).expect("resident");
-    Arc::clone(residency.last_compiled().expect("compiled"))
+    Arc::clone(os.verified_function(algo).expect("compiled"))
 }
 
 #[test]
@@ -250,4 +254,97 @@ fn other_functions_configuring_keep_the_compiled_form() {
     }
     assert!(Arc::ptr_eq(&first, &compiled(&os, ids::CRC8)));
     assert_eq!(os.table().compiled_count(), os.resident().len());
+}
+
+/// Evicts `algo` and configures it again from ROM (another function
+/// takes the freed frames first when `other` is given).
+fn evict_and_reconfigure(os: &mut MiniOs, algo: u16, other: Option<u16>) {
+    os.evict(algo).unwrap();
+    if let Some(other) = other {
+        run(os, other, INPUT).unwrap();
+    }
+    let got = run(os, algo, INPUT);
+    assert_eq!(got, fresh(os, algo, INPUT));
+    assert!(got.is_ok(), "re-configured {algo} from ROM");
+}
+
+#[test]
+fn evict_then_reconfigure_reuses_the_verified_function() {
+    for algo in [ids::CRC8, ids::SHA1] {
+        for other in [None, Some(ids::CRC32)] {
+            let mut os = os(ReconfigMode::Partial, &[algo, ids::CRC32]);
+            run(&mut os, algo, INPUT).unwrap();
+            let first = compiled(&os, algo);
+            let frames = os.table().get(algo).unwrap().frames.clone();
+            evict_and_reconfigure(&mut os, algo, other);
+            if other.is_some() {
+                assert_ne!(os.table().get(algo).unwrap().frames, frames);
+            }
+            assert!(
+                Arc::ptr_eq(&first, &compiled(&os, algo)),
+                "{algo} after {other:?}: same bytes, same compiled function"
+            );
+        }
+    }
+}
+
+#[test]
+fn seu_or_torn_write_after_reconfiguration_fails_like_a_fresh_decode() {
+    for algo in [ids::CRC8, ids::ADDER8, ids::SHA1] {
+        for torn in [false, true] {
+            let mut os = os(ReconfigMode::Partial, &[algo]);
+            run(&mut os, algo, INPUT).unwrap();
+            evict_and_reconfigure(&mut os, algo, None);
+            let got = check_after(&mut os, algo, |os| {
+                if torn {
+                    assert!(os.inject_torn(algo));
+                } else {
+                    assert!(os.inject_seu(algo, &mut SplitMix64::new(u64::from(algo) + 1)));
+                }
+            });
+            assert!(
+                got.is_err(),
+                "{algo} (torn: {torn}) must fail after re-configuration"
+            );
+        }
+    }
+}
+
+#[test]
+fn padding_flip_past_the_body_keeps_the_compiled_function() {
+    let mut os = os(ReconfigMode::Partial, &[ids::CRC8, ids::CRC32]);
+    run(&mut os, ids::CRC8, INPUT).unwrap();
+    let first = compiled(&os, ids::CRC8);
+    let frames = os.table().get(ids::CRC8).unwrap().frames.clone();
+    let image = os.device().decode_function(&frames).unwrap();
+    let frame_bytes = os.geometry().frame_bytes();
+    let used_in_last = image.total_bytes() - (frames.len() - 1) * frame_bytes;
+    assert!(used_in_last < frame_bytes, "the last frame has padding");
+    let last = *frames.last().unwrap();
+    let got = check_after(&mut os, ids::CRC8, |os| {
+        os.device_mut().flip_bit(last, frame_bytes - 1, 3).unwrap();
+    });
+    assert_eq!(got.unwrap(), reference_crc8());
+    assert!(Arc::ptr_eq(&first, &compiled(&os, ids::CRC8)));
+    // a miss elsewhere and the next batch keep the same function
+    run(&mut os, ids::CRC32, INPUT).unwrap();
+    assert_eq!(run(&mut os, ids::CRC8, INPUT), Ok(reference_crc8()));
+    assert!(Arc::ptr_eq(&first, &compiled(&os, ids::CRC8)));
+}
+
+#[test]
+fn reset_empties_the_verified_images() {
+    let mut os = os(ReconfigMode::Partial, &[ids::CRC8, ids::SHA1]);
+    run(&mut os, ids::CRC8, INPUT).unwrap();
+    run(&mut os, ids::SHA1, INPUT).unwrap();
+    let before = compiled(&os, ids::CRC8);
+    os.evict(ids::SHA1).unwrap();
+    assert_eq!(os.verified_count(), 2, "eviction keeps the verified image");
+    os.reset();
+    assert_eq!(os.verified_count(), 0);
+    assert!(os.verified_function(ids::CRC8).is_none());
+    let got = run(&mut os, ids::CRC8, INPUT);
+    assert_eq!(got, fresh(&os, ids::CRC8, INPUT));
+    assert!(!Arc::ptr_eq(&before, &compiled(&os, ids::CRC8)));
+    assert_eq!(os.verified_count(), 1);
 }
